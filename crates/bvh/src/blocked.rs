@@ -115,9 +115,7 @@ impl Bvh {
     /// Stackless skip-list walk collecting the interaction lists of one
     /// group box. Same DFS as [`Bvh::accel_at`], with the point-to-box
     /// distance replaced by the conservative box-to-box distance.
-    /// `pub(crate)`: the task-graph force tiles ([`crate::tasks`]) run the
-    /// same walk.
-    pub(crate) fn gather_group(
+    fn gather_group(
         &self,
         gbox: Aabb,
         theta2: f64,

@@ -48,12 +48,10 @@ pub mod force;
 pub mod query;
 pub mod scratch;
 pub mod sort;
-pub mod tasks;
 pub mod traverse;
 pub mod validate;
 
 pub use build::{Bvh, BvhParams, Curve};
 pub use scratch::BvhScratch;
-pub use tasks::{ForceTasks, RebuildPhase, RebuildTasks};
 pub use nbody_math::gravity::ForceParams;
 pub use nbody_resilience::BuildError;

@@ -132,10 +132,8 @@ impl Octree {
     /// Same forward/backward structure as [`Octree::accel_at`], with the
     /// point distance `|com − p|²` replaced by the conservative distance
     /// from the node's centre of mass to the group box.
-    /// `pub(crate)`: the task-graph force tiles ([`crate::tasks`]) run the
-    /// same walk.
     #[allow(clippy::too_many_arguments)] // internal: gather inputs + telemetry tally
-    pub(crate) fn gather_group(
+    fn gather_group(
         &self,
         gbox: Aabb,
         theta2: f64,

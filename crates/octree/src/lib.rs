@@ -50,7 +50,6 @@ pub mod multipole;
 pub mod query;
 pub mod scratch;
 pub mod tags;
-pub mod tasks;
 pub mod traverse;
 pub mod tree;
 pub mod validate;
@@ -58,6 +57,5 @@ pub mod validate;
 pub use force::ForceParams;
 pub use incremental::{IncrementalStats, NeedsRebuild};
 pub use scratch::TraversalScratch;
-pub use tasks::OctreeForceTasks;
 pub use tree::{BuildError, BuildStats, Octree, DEFAULT_SPIN_BUDGET, MAX_DEPTH};
 pub use validate::TreeInvariants;

@@ -37,10 +37,10 @@
 //!   inherits its `.prev` fallback and typed empty-body rejection.
 //!
 //! Under [`TickMode::Batched`] admitted options are normalised to
-//! `policy = Seq, stepping = Barrier`: graph nodes must not open nested
-//! parallel regions, and a sequential in-node step makes per-session
-//! trajectories independent of worker count — bitwise identical to a solo
-//! [`Simulation`] run of the same normalised options.
+//! `policy = Seq`: graph nodes must not open nested parallel regions, and
+//! a sequential in-node step makes per-session trajectories independent
+//! of worker count — bitwise identical to a solo [`Simulation`] run of the
+//! same normalised options.
 //!
 //! [`admit`]: SessionManager::admit
 //! [`restore_quarantined`]: SessionManager::restore_quarantined
@@ -51,8 +51,7 @@
 use nbody_sim::io::{self, SnapshotError};
 use nbody_sim::prelude::{
     resume_state_from_disk, CheckpointError, CheckpointRing, DynPolicy, HealthConfig,
-    HealthMonitor, HealthVerdict, SimOptions, SimWorkspace, Simulation, SolverKind, Stepping,
-    SystemState,
+    HealthMonitor, HealthVerdict, SimOptions, SimWorkspace, Simulation, SolverKind, SystemState,
 };
 use nbody_sim::solver::SolverError;
 use nbody_telemetry::record;
@@ -84,9 +83,9 @@ pub struct SessionId {
 pub struct SessionConfig {
     /// Force solver backing the session.
     pub kind: SolverKind,
-    /// Simulation options. Under [`TickMode::Batched`] `policy` and
-    /// `stepping` are normalised (see the crate docs); everything else is
-    /// honoured as given.
+    /// Simulation options. Under [`TickMode::Batched`] `policy` is
+    /// normalised (see the crate docs); everything else is honoured as
+    /// given.
     pub opts: SimOptions,
     /// Checkpoint ring slots (must be ≥ 1; 0 is a typed
     /// [`AdmitError::Checkpoint`] rejection).
@@ -371,7 +370,6 @@ impl SessionManager {
             // sequential in-node step keeps each trajectory independent
             // of worker count.
             opts.policy = DynPolicy::Seq;
-            opts.stepping = Stepping::Barrier;
         }
         opts
     }

@@ -940,35 +940,6 @@ mod tests {
     }
 
     #[test]
-    fn taskgraph_stepping_recovers_like_barrier() {
-        // The guard's watchdog/rollback machinery is stepping-agnostic: a
-        // scripted fault under task-graph stepping recovers to the same
-        // bit-exact trajectory as the clean task-graph run.
-        let opts = SimOptions {
-            dt: 1e-3,
-            stepping: crate::dag::Stepping::TaskGraph,
-            ..SimOptions::default()
-        };
-        let mk = || {
-            GuardedSimulation::new(
-                galaxy_collision(200, 84),
-                SolverKind::Bvh,
-                opts,
-                GuardConfig::default(),
-            )
-            .unwrap()
-        };
-        let mut clean = mk();
-        clean.run(12).unwrap();
-        let mut faulty = mk()
-            .with_injector(FaultInjector::new(29).at_step(5, FaultKind::NanInject));
-        faulty.run(12).unwrap();
-        assert!(faulty.stats().rollbacks >= 1, "{:?}", faulty.stats());
-        assert_eq!(clean.state().positions, faulty.state().positions);
-        assert_eq!(clean.state().velocities, faulty.state().velocities);
-    }
-
-    #[test]
     fn accessors_cover_the_surface() {
         let mut guard = guarded(60, 82, GuardConfig::default());
         guard.run(2).unwrap();

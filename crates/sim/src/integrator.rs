@@ -5,10 +5,9 @@
 //! time-reversible, so energy oscillates instead of drifting for stable
 //! step sizes (tested in the diagnostics suite).
 
-use crate::dag::Stepping;
 use crate::solver::{make_solver, ForceSolver, SolverError, SolverKind, SolverParams};
 use crate::system::SystemState;
-use crate::timing::{timed_counted, PhaseBusy, StepTimings};
+use crate::timing::{timed_counted, StepTimings};
 use crate::workspace::SimWorkspace;
 use nbody_math::gravity::{ForceEval, ForceKernel, KernelPrecision, TreeLifecycle};
 use nbody_math::Vec3;
@@ -55,6 +54,18 @@ impl IntegratorKind {
     }
 }
 
+/// How one integration step is executed. Every step runs the paper's
+/// phase-by-phase parallel regions with a barrier between phases; this
+/// one-variant enum and [`SimOptions::stepping`] remain only because the
+/// `perfbench` benchmark names them. Nothing reads the value.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Stepping {
+    /// Phase-by-phase parallel regions with a global barrier between
+    /// phases.
+    #[default]
+    Barrier,
+}
+
 /// Simulation-wide options.
 #[derive(Clone, Copy, Debug)]
 pub struct SimOptions {
@@ -91,10 +102,8 @@ pub struct SimOptions {
     /// a persistent delta-updated tree. `Incremental` supersedes
     /// `tree_rebuild_every` — the lifecycle manages its own reuse cadence.
     pub lifecycle: TreeLifecycle,
-    /// Step execution mode (tree solvers, leapfrog, parallel policies):
-    /// barrier-separated phases, or one barrier-free task DAG per step
-    /// ([`crate::dag`]). Configurations the task graph does not cover fall
-    /// back to the barrier path silently — the two are bitwise-equivalent.
+    /// Step execution mode. Always [`Stepping::Barrier`] and never read:
+    /// kept only because the `perfbench` benchmark names it.
     pub stepping: Stepping,
 }
 
@@ -131,7 +140,6 @@ impl SimOptions {
             precision: self.precision,
             hilbert_bits: self.hilbert_bits,
             lifecycle: self.lifecycle,
-            stepping: self.stepping,
         }
     }
 }
@@ -308,53 +316,16 @@ impl Simulation {
     /// across changing body counts; buffers grow to the high-water mark
     /// and are never shrunk.
     pub fn step_into(&mut self, ws: &mut SimWorkspace) -> StepTimings {
-        let mut timings = match self.opts.integrator {
-            IntegratorKind::LeapfrogKdk => match self.try_step_dag(ws) {
-                Some(t) => t,
-                None => self.step_leapfrog(ws),
-            },
+        let timings = match self.opts.integrator {
+            IntegratorKind::LeapfrogKdk => self.step_leapfrog(ws),
             IntegratorKind::SymplecticEuler => self.step_euler(true, ws),
             IntegratorKind::ExplicitEuler => self.step_euler(false, ws),
         };
-        // Barrier steps time phases as exclusive wall windows; derive the
-        // busy attribution from them so `StepTimings::busy` is populated in
-        // both stepping modes (task-graph steps filled it from the node
-        // busy table already).
-        if timings.busy.total() == 0 {
-            timings.busy = PhaseBusy::from_wall(&timings);
-        }
         self.time += self.opts.dt;
         self.steps_done += 1;
         self.last_timings = timings;
         record_step_telemetry(&timings);
         timings
-    }
-
-    /// Attempt a barrier-free task-graph step ([`crate::dag`]). `None`
-    /// when the configuration is not covered (barrier stepping selected,
-    /// sequential policy, or a solver without a DAG step) — the caller
-    /// falls back to the bitwise-equivalent barrier path.
-    fn try_step_dag(&mut self, ws: &mut SimWorkspace) -> Option<StepTimings> {
-        if self.opts.stepping != Stepping::TaskGraph {
-            return None;
-        }
-        // The DAG step folds the opening kick into its first run, so it
-        // needs fresh accelerations — the first step seeds them with a
-        // barrier force evaluation, exactly as `step_leapfrog` does.
-        if !self.accel_fresh {
-            let t = self.solver.compute_into(&self.state, &mut self.accel, false, ws);
-            self.last_timings = t;
-            self.accel_fresh = true;
-        }
-        let reuse = self.reuse_this_step();
-        let dt = self.opts.dt;
-        match self.solver.step_dag(&mut self.state, &mut self.accel, dt, reuse, ws)? {
-            Ok(t) => Some(t),
-            // Parity with `compute_into`'s contract: barrier solvers panic
-            // on unrecoverable build failures; the resilient wrapper is the
-            // layer that converts these into recovery.
-            Err(e) => panic!("{} task-graph step failed: {e}", self.solver.name()),
-        }
     }
 
     fn reuse_this_step(&self) -> bool {

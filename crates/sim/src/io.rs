@@ -371,6 +371,9 @@ fn sniff_version(magic: &[u8; 8]) -> Result<u8, SnapshotError> {
     Ok(version)
 }
 
+/// Most records per array reserved before any are read.
+const MAX_UPFRONT_RECORDS: usize = 1 << 16;
+
 /// Count + the three arrays (shared by both format versions).
 fn read_arrays<R: Read>(r: &mut R) -> Result<SystemState, SnapshotError> {
     let mut len = [0u8; 8];
@@ -400,7 +403,11 @@ fn read_arrays<R: Read>(r: &mut R) -> Result<SystemState, SnapshotError> {
         })?;
         Ok(f64::from_le_bytes(b))
     };
-    let mut positions = Vec::with_capacity(n);
+    // The count is untrusted until its records arrive: the vectors grow
+    // with the data, so a corrupted count fails as a typed truncation, not
+    // as an allocation abort.
+    let reserve = n.min(MAX_UPFRONT_RECORDS);
+    let mut positions = Vec::with_capacity(reserve);
     for i in 0..n {
         positions.push(Vec3::new(
             read_f64(r, "position", i)?,
@@ -408,7 +415,7 @@ fn read_arrays<R: Read>(r: &mut R) -> Result<SystemState, SnapshotError> {
             read_f64(r, "position", i)?,
         ));
     }
-    let mut velocities = Vec::with_capacity(n);
+    let mut velocities = Vec::with_capacity(reserve);
     for i in 0..n {
         velocities.push(Vec3::new(
             read_f64(r, "velocity", i)?,
@@ -416,7 +423,7 @@ fn read_arrays<R: Read>(r: &mut R) -> Result<SystemState, SnapshotError> {
             read_f64(r, "velocity", i)?,
         ));
     }
-    let mut masses = Vec::with_capacity(n);
+    let mut masses = Vec::with_capacity(reserve);
     for i in 0..n {
         masses.push(read_f64(r, "mass", i)?);
     }

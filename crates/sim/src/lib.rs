@@ -18,7 +18,6 @@
 //! ```
 
 pub mod checkpoint;
-pub mod dag;
 pub mod diagnostics;
 pub mod guard;
 pub mod health;
@@ -34,30 +33,28 @@ pub mod workload;
 pub mod workspace;
 
 pub use checkpoint::{CheckpointError, CheckpointRing, RestorePoint};
-pub use dag::Stepping;
 pub use guard::{resume_state_from_disk, GuardConfig, GuardError, GuardStats, GuardedSimulation};
 pub use health::{HealthConfig, HealthMonitor, HealthReport, HealthVerdict};
-pub use integrator::{IntegratorKind, SimOptions, Simulation};
+pub use integrator::{IntegratorKind, SimOptions, Simulation, Stepping};
 pub use io::SnapshotError;
 pub use resilient::{ComputeError, ResilientConfig, ResilientSolver};
 pub use solver::{make_solver, ForceSolver, SolverError, SolverKind, SolverParams};
 pub use recorder::Recorder;
-pub use timing::{PhaseBusy, StepAllocs, StepTimings};
+pub use timing::{StepAllocs, StepTimings};
 pub use workspace::SimWorkspace;
 
 pub mod prelude {
     pub use crate::checkpoint::{CheckpointError, CheckpointRing};
-    pub use crate::dag::Stepping;
     pub use crate::diagnostics::{l2_error, Diagnostics};
     pub use crate::guard::{
         resume_state_from_disk, GuardConfig, GuardError, GuardStats, GuardedSimulation,
     };
     pub use crate::health::{HealthConfig, HealthMonitor, HealthReport, HealthVerdict};
-    pub use crate::integrator::{IntegratorKind, SimOptions, Simulation};
+    pub use crate::integrator::{IntegratorKind, SimOptions, Simulation, Stepping};
     pub use crate::resilient::{ComputeError, ResilientConfig, ResilientSolver};
     pub use crate::solver::{make_solver, ForceSolver, SolverKind, SolverParams};
     pub use crate::system::SystemState;
-    pub use crate::timing::{PhaseBusy, StepAllocs, StepTimings};
+    pub use crate::timing::{StepAllocs, StepTimings};
     pub use crate::workspace::SimWorkspace;
     pub use crate::workload::{
         galaxy_collision, plummer, solar_system, spinning_disk, uniform_cube, WorkloadSpec,

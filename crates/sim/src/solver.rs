@@ -15,7 +15,6 @@
 //! [`SolverError::RequiresForwardProgress`] — the paper's "reliably caused
 //! them to hang" case, §V-B).
 
-use crate::dag::Stepping;
 use crate::resilient::ComputeError;
 use crate::system::SystemState;
 use crate::timing::{timed_counted, StepTimings};
@@ -57,11 +56,6 @@ pub struct SolverParams {
     /// and therefore ignores the `reuse_tree` flag of
     /// [`ForceSolver::try_compute_into`].
     pub lifecycle: TreeLifecycle,
-    /// Step execution shape (tree solvers under the leapfrog integrator):
-    /// phase-by-phase barriers, or one task-graph DAG per step
-    /// ([`crate::dag`]). Consulted by [`ForceSolver::step_dag`]; plain
-    /// `try_compute_into` calls always run the barrier phases.
-    pub stepping: Stepping,
 }
 
 impl Default for SolverParams {
@@ -76,13 +70,12 @@ impl Default for SolverParams {
             precision: KernelPrecision::F64,
             hilbert_bits: 16,
             lifecycle: TreeLifecycle::Rebuild,
-            stepping: Stepping::Barrier,
         }
     }
 }
 
 impl SolverParams {
-    pub(crate) fn force_params(&self) -> ForceParams {
+    fn force_params(&self) -> ForceParams {
         ForceParams {
             theta: self.theta,
             softening: self.softening,
@@ -105,7 +98,7 @@ const INC_ROOT_INFLATE: f64 = 1.25;
 /// Largest body displacement between the reference snapshot (positions at
 /// the last tree refresh) and the current positions — the MAC pad for
 /// stale-tree steps.
-pub(crate) fn max_drift(reference: &[Vec3], positions: &[Vec3]) -> f64 {
+fn max_drift(reference: &[Vec3], positions: &[Vec3]) -> f64 {
     debug_assert_eq!(reference.len(), positions.len());
     reference
         .iter()
@@ -259,30 +252,6 @@ pub trait ForceSolver: Send {
     /// positions) return `false`.
     fn inject_fault(&mut self, _kind: FaultKind) -> bool {
         false
-    }
-
-    /// Advance one fused kick-drift-maintain-force-kick leapfrog step as
-    /// barrier-free task-graph runs ([`crate::dag`]), if this solver
-    /// supports it under its current configuration. `accel` must hold the
-    /// accelerations at the current positions (the leapfrog invariant the
-    /// integrator maintains); on success it holds the accelerations at
-    /// the drifted positions and `state` has advanced by `dt`.
-    ///
-    /// Returns `None` when barrier-free stepping does not apply (the
-    /// all-pairs baselines, sequential policies, or
-    /// [`Stepping::Barrier`]), in which case the integrator runs the
-    /// barrier path. The two paths are bitwise-equivalent per step; the
-    /// `schedule_fuzz` integration suite pins that down.
-    fn step_dag(
-        &mut self,
-        state: &mut SystemState,
-        accel: &mut [Vec3],
-        dt: f64,
-        reuse_tree: bool,
-        ws: &mut SimWorkspace,
-    ) -> Option<Result<StepTimings, ComputeError>> {
-        let _ = (state, accel, dt, reuse_tree, ws);
-        None
     }
 
     /// Restrict a chained solver to fallback levels ≥ `min_level` for
@@ -555,15 +524,15 @@ impl<P: ParallelForwardProgress> ForceSolver for AllPairsColSolver<P> {
 
 /// The Concurrent Octree strategy: Algorithm 2's five phases per step.
 pub struct OctreeSolver<P: ParallelForwardProgress> {
-    pub(crate) policy: P,
-    pub(crate) params: SolverParams,
-    pub(crate) tree: Octree,
-    pub(crate) built: bool,
+    policy: P,
+    params: SolverParams,
+    tree: Octree,
+    built: bool,
     /// Positions at the last tree refresh (incremental lifecycle): the
     /// reference of the per-step drift scan. Grow-only.
-    pub(crate) ref_pos: Vec<Vec3>,
+    ref_pos: Vec<Vec3>,
     /// Steps served from the stale tree since the last refresh.
-    pub(crate) stale_steps: usize,
+    stale_steps: usize,
 }
 
 impl<P: ParallelForwardProgress> OctreeSolver<P> {
@@ -617,7 +586,7 @@ impl<P: ParallelForwardProgress> OctreeSolver<P> {
     /// One step of the incremental lifecycle: serve stale with a padded
     /// MAC, or delta-refresh the persistent tree (falling back to a full
     /// rebuild when the delta update reports it cannot apply).
-    pub(crate) fn advance_incremental(
+    fn advance_incremental(
         &mut self,
         state: &SystemState,
         max_stale: usize,
@@ -738,17 +707,6 @@ impl<P: ParallelForwardProgress> ForceSolver for OctreeSolver<P> {
         res.map(|_| ()).map_err(ComputeError::InvariantViolation)
     }
 
-    fn step_dag(
-        &mut self,
-        state: &mut SystemState,
-        accel: &mut [Vec3],
-        dt: f64,
-        reuse_tree: bool,
-        ws: &mut SimWorkspace,
-    ) -> Option<Result<StepTimings, ComputeError>> {
-        crate::dag::octree_step_dag(self, state, accel, dt, reuse_tree, ws)
-    }
-
     fn inject_fault(&mut self, kind: FaultKind) -> bool {
         match kind {
             FaultKind::StuckLock => {
@@ -770,14 +728,14 @@ impl<P: ParallelForwardProgress> ForceSolver for OctreeSolver<P> {
 
 /// The Hilbert-sorted BVH strategy: Algorithm 6's phases per step.
 pub struct BvhSolver<P: ExecutionPolicy> {
-    pub(crate) policy: P,
-    pub(crate) params: SolverParams,
-    pub(crate) bvh: Bvh,
-    pub(crate) built: bool,
+    policy: P,
+    params: SolverParams,
+    bvh: Bvh,
+    built: bool,
     /// Positions at the last tree refresh (incremental lifecycle). Grow-only.
-    pub(crate) ref_pos: Vec<Vec3>,
+    ref_pos: Vec<Vec3>,
     /// Steps served from the stale tree since the last refresh.
-    pub(crate) stale_steps: usize,
+    stale_steps: usize,
 }
 
 impl<P: ExecutionPolicy> BvhSolver<P> {
@@ -898,17 +856,6 @@ impl<P: ExecutionPolicy> ForceSolver for BvhSolver<P> {
             self.bvh.compute_forces_with(self.policy, &state.positions, accel, &fp, &mut ws.bvh);
         });
         Ok(t)
-    }
-
-    fn step_dag(
-        &mut self,
-        state: &mut SystemState,
-        accel: &mut [Vec3],
-        dt: f64,
-        reuse_tree: bool,
-        ws: &mut SimWorkspace,
-    ) -> Option<Result<StepTimings, ComputeError>> {
-        crate::dag::bvh_step_dag(self, state, accel, dt, reuse_tree, ws)
     }
 
     fn validate(&self, _state: &SystemState) -> Result<(), ComputeError> {

@@ -49,82 +49,9 @@ impl StepAllocs {
     }
 }
 
-/// Per-phase *busy* nanoseconds: time spent actually executing each
-/// phase's work, attributed correctly even when phases overlap.
-///
-/// Under barrier stepping every phase runs to completion inside its own
-/// caller-observed window, so busy time equals the wall durations of
-/// [`StepTimings`] (filled by [`PhaseBusy::from_wall`]). Under task-graph
-/// stepping ([`crate::dag::Stepping::TaskGraph`]) phases overlap freely —
-/// a force tile can run while another tile is still sorting — so a
-/// per-phase *wall* interval is ill-defined and naively timestamping
-/// phase boundaries double-counts the overlap. Busy time is instead
-/// accumulated per executed DAG node from the workers' own clocks.
-///
-/// Either way the attribution obeys the capacity bound
-/// `Σ_phase busy ≤ workers × step wall` (asserted by the `pipeline`
-/// integration test): no accounting scheme may claim more execution time
-/// than the workers collectively had.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PhaseBusy {
-    pub bbox: u64,
-    pub sort: u64,
-    pub build: u64,
-    pub multipole: u64,
-    pub force: u64,
-    pub update: u64,
-}
-
-impl PhaseBusy {
-    /// Total busy nanoseconds across all phases.
-    pub fn total(&self) -> u64 {
-        self.bbox + self.sort + self.build + self.multipole + self.force + self.update
-    }
-
-    /// Element-wise sum.
-    pub fn accumulate(&mut self, other: &PhaseBusy) {
-        self.bbox += other.bbox;
-        self.sort += other.sort;
-        self.build += other.build;
-        self.multipole += other.multipole;
-        self.force += other.force;
-        self.update += other.update;
-    }
-
-    /// Phase names and busy nanoseconds, in algorithm order.
-    pub fn phases(&self) -> [(&'static str, u64); 6] {
-        [
-            ("bbox", self.bbox),
-            ("sort", self.sort),
-            ("build", self.build),
-            ("multipole", self.multipole),
-            ("force", self.force),
-            ("update", self.update),
-        ]
-    }
-
-    /// Busy attribution for a barrier-stepped record: phases never
-    /// overlap, so each phase's busy time is exactly its wall window.
-    pub fn from_wall(t: &StepTimings) -> Self {
-        PhaseBusy {
-            bbox: t.bbox.as_nanos() as u64,
-            sort: t.sort.as_nanos() as u64,
-            build: t.build.as_nanos() as u64,
-            multipole: t.multipole.as_nanos() as u64,
-            force: t.force.as_nanos() as u64,
-            update: t.update.as_nanos() as u64,
-        }
-    }
-}
-
 /// Wall-clock time of each phase of one integration step (paper Algorithm
 /// 2 for the octree, Algorithm 6 for the BVH — phases not applicable to a
 /// solver stay zero).
-///
-/// Under task-graph stepping the phase `Duration`s hold per-phase *busy*
-/// time (summed node execution, see [`PhaseBusy`]) rather than disjoint
-/// wall windows, so [`StepTimings::total`] may exceed the step's wall
-/// clock there — whole-step comparisons should time the step call itself.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StepTimings {
     /// CALCULATEBOUNDINGBOX.
@@ -144,11 +71,6 @@ pub struct StepTimings {
     /// Heap allocations per phase (zeros unless the counting allocator is
     /// installed; see [`StepAllocs`]).
     pub allocs: StepAllocs,
-    /// Overlap-correct per-phase busy nanoseconds (see [`PhaseBusy`]).
-    /// Filled by [`crate::Simulation::step_into`] for barrier steps and by
-    /// the task-graph stepper for DAG steps; zero for raw
-    /// [`crate::ForceSolver::try_compute_into`] calls.
-    pub busy: PhaseBusy,
 }
 
 impl StepTimings {
@@ -172,7 +94,6 @@ impl StepTimings {
         self.force += other.force;
         self.update += other.update;
         self.allocs.accumulate(&other.allocs);
-        self.busy.accumulate(&other.busy);
     }
 
     /// Phase names and durations, in algorithm order.
@@ -257,30 +178,6 @@ mod tests {
         let a = StepAllocs::default();
         let alloc_names: Vec<&str> = a.phases().iter().map(|(n, _)| *n).collect();
         assert_eq!(names, alloc_names, "timing and alloc phases must stay aligned");
-        let b = PhaseBusy::default();
-        let busy_names: Vec<&str> = b.phases().iter().map(|(n, _)| *n).collect();
-        assert_eq!(names, busy_names, "timing and busy phases must stay aligned");
-    }
-
-    #[test]
-    fn busy_from_wall_mirrors_durations() {
-        let mut t = StepTimings {
-            bbox: Duration::from_nanos(7),
-            sort: Duration::from_nanos(11),
-            force: Duration::from_nanos(100),
-            ..StepTimings::default()
-        };
-        let busy = PhaseBusy::from_wall(&t);
-        assert_eq!(busy.bbox, 7);
-        assert_eq!(busy.sort, 11);
-        assert_eq!(busy.force, 100);
-        assert_eq!(busy.total(), 118);
-        // Accumulation flows through StepTimings::accumulate.
-        t.busy = busy;
-        let mut sum = StepTimings::default();
-        sum.accumulate(&t);
-        sum.accumulate(&t);
-        assert_eq!(sum.busy.total(), 236);
     }
 
     #[test]

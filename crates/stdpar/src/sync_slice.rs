@@ -82,38 +82,6 @@ impl<'a, T> SyncSlice<'a, T> {
         assert!(i < self.len, "SyncSlice::write: index {i} out of bounds (len {})", self.len);
         *self.ptr.add(i) = v;
     }
-
-    /// Shared view of the sub-range `range`.
-    ///
-    /// # Safety
-    /// `range` is within `len()`, and no other thread *writes* any index in
-    /// `range` while the returned slice is live.
-    #[inline]
-    pub unsafe fn slice(&self, range: std::ops::Range<usize>) -> &'a [T] {
-        assert!(
-            range.start <= range.end && range.end <= self.len,
-            "SyncSlice::slice: range {range:?} out of bounds (len {})",
-            self.len
-        );
-        std::slice::from_raw_parts(self.ptr.add(range.start), range.end - range.start)
-    }
-
-    /// Exclusive view of the sub-range `range`.
-    ///
-    /// # Safety
-    /// `range` is within `len()`, and no other thread *accesses* any index in
-    /// `range` while the returned slice is live (this call must be the only
-    /// path to those elements, exactly like disjoint `get_mut` calls).
-    #[inline]
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn slice_mut(&self, range: std::ops::Range<usize>) -> &'a mut [T] {
-        assert!(
-            range.start <= range.end && range.end <= self.len,
-            "SyncSlice::slice_mut: range {range:?} out of bounds (len {})",
-            self.len
-        );
-        std::slice::from_raw_parts_mut(self.ptr.add(range.start), range.end - range.start)
-    }
 }
 
 #[cfg(test)]
@@ -176,53 +144,6 @@ mod tests {
         let s = SyncSlice::new(&mut v);
         unsafe {
             let _ = s.read(7);
-        }
-    }
-
-    #[test]
-    fn disjoint_subslices() {
-        let mut data = vec![0u32; 100];
-        let view = SyncSlice::new(&mut data);
-        std::thread::scope(|s| {
-            for t in 0..4usize {
-                s.spawn(move || {
-                    let r = t * 25..(t + 1) * 25;
-                    let sub = unsafe { view.slice_mut(r.clone()) };
-                    for (k, v) in sub.iter_mut().enumerate() {
-                        *v = (r.start + k) as u32;
-                    }
-                });
-            }
-        });
-        assert!(data.iter().enumerate().all(|(i, &v)| v == i as u32));
-    }
-
-    #[test]
-    fn shared_slice_reads() {
-        let mut data: Vec<u64> = (0..10).collect();
-        let view = SyncSlice::new(&mut data);
-        let sub = unsafe { view.slice(3..7) };
-        assert_eq!(sub, &[3, 4, 5, 6]);
-    }
-
-    #[test]
-    #[should_panic(expected = "SyncSlice::slice: range 2..9 out of bounds (len 4)")]
-    fn slice_out_of_bounds_panics() {
-        let mut v = vec![0u8; 4];
-        let s = SyncSlice::new(&mut v);
-        unsafe {
-            let _ = s.slice(2..9);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "SyncSlice::slice_mut: range 5..3 out of bounds (len 8)")]
-    #[allow(clippy::reversed_empty_ranges)]
-    fn slice_mut_reversed_range_panics() {
-        let mut v = vec![0u8; 8];
-        let s = SyncSlice::new(&mut v);
-        unsafe {
-            let _ = s.slice_mut(5..3);
         }
     }
 

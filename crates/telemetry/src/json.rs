@@ -6,6 +6,8 @@
 //! the snapshot emitter produces — objects, arrays, strings without escapes
 //! beyond `\"`/`\\`, unsigned/signed integers, floats, booleans, null —
 //! which is also a superset of the in-tree `BENCH_*.json` files.
+//! Nesting is capped at [`MAX_DEPTH`] so hostile input returns a
+//! [`JsonError`] instead of overflowing the stack.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -79,9 +81,16 @@ fn err<T>(msg: impl Into<String>) -> Result<T, JsonError> {
     Err(JsonError(msg.into()))
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Snapshots and bench
+/// documents nest three or four levels; the cap bounds the parser's
+/// recursion, and so its stack use, whatever the input.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -111,8 +120,15 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, JsonError> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            c @ (b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+                }
+                self.depth += 1;
+                let v = if c == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             b'"' => Ok(Value::Str(self.string()?)),
             b't' => self.keyword("true", Value::Bool(true)),
             b'f' => self.keyword("false", Value::Bool(false)),
@@ -267,7 +283,7 @@ pub fn fmt_f64(v: f64) -> String {
 
 /// Parse a JSON document (the full snapshot subset).
 pub fn parse(text: &str) -> Result<Value, JsonError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     let v = p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
@@ -425,6 +441,17 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1 2", "{\"a\":}", "nul"] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let nested = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let e = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(e.0.contains("nesting deeper than"), "{e}");
+        // A million unclosed brackets used to overflow the stack.
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(1_000_000)).is_err());
     }
 
     #[test]

@@ -19,7 +19,6 @@ AUDITED=(
     crates/stdpar/src/backend.rs
     crates/stdpar/src/detpar.rs
     crates/stdpar/src/taskgraph.rs
-    crates/sim/src/dag.rs
 )
 
 status=0

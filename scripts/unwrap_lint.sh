@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
-# Unwrap audit lint (DESIGN.md "Task-graph stepping" / ISSUE 9): the
-# simulation layer's step and recovery paths return typed errors
-# (`GuardError`, `SnapshotError`, `CheckpointError`, `ComputeError`) — a
-# bare `unwrap()`/`expect(` in production code is either a latent panic on
-# a path that should degrade loudly-but-typed, or it is provably
-# infallible and must say why. Every such call in `crates/sim/src` must
-# carry a `// unwrap-ok:` justification on the same line or within the six
-# preceding lines, so a new unwrap cannot land without an argument.
+# Unwrap audit lint: the simulation layer's step and recovery paths return
+# typed errors (`GuardError`, `SnapshotError`, `CheckpointError`,
+# `ComputeError`) — a bare `unwrap()`/`expect(` in production code is
+# either a latent panic on a path that should degrade loudly-but-typed, or
+# it is provably infallible and must say why. Every such call in
+# `crates/sim/src` must carry a `// unwrap-ok:` justification on the same
+# line or within the six preceding lines, so a new unwrap cannot land
+# without an argument.
 #
 # Scope: production code only. Scanning stops at the `#[cfg(test)]` module
 # marker — tests unwrap freely, that is what they are for. Doc-comment

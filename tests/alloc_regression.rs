@@ -159,42 +159,6 @@ fn steady_state_steps_allocate_nothing() {
                 }
             }
 
-            // Task-graph stepping: the DAG's node table, continuation
-            // counters, and per-tile scratch live in the workspace's
-            // `DagScratch`, so warmed task-graph steps must be as
-            // allocation-free as barrier steps. With one worker every run
-            // takes the scheduler's inline path — the steady-state shape
-            // this gate covers; multi-worker runs allocate O(threads) for
-            // scoped spawns by design, never O(N).
-            for kind in [SolverKind::Octree, SolverKind::Bvh] {
-                for lifecycle in
-                    [TreeLifecycle::Rebuild, TreeLifecycle::Incremental { max_stale_steps: 1 }]
-                {
-                    let opts = SimOptions {
-                        dt: 0.0,
-                        softening: 1e-3,
-                        policy: if kind == SolverKind::Octree {
-                            DynPolicy::Par
-                        } else {
-                            DynPolicy::ParUnseq
-                        },
-                        eval: ForceEval::Blocked { group: 32 },
-                        stepping: Stepping::TaskGraph,
-                        lifecycle,
-                        ..SimOptions::default()
-                    };
-                    let sim = Simulation::new(state.clone(), kind, opts).unwrap();
-                    let mut ws = SimWorkspace::new();
-                    let label = format!(
-                        "taskgraph/{}/{}/{:?}",
-                        backend.name(),
-                        kind.name(),
-                        lifecycle
-                    );
-                    assert_steady_state_clean(sim, &mut ws, &label);
-                }
-            }
-
             // The resilient wrapper on its default chain: the no-fault path
             // must add no allocations on top of the wrapped solver.
             for eval in evals {

@@ -88,38 +88,24 @@ fn quadtree_matches_octree_on_planar_data() {
 }
 
 #[test]
-fn phase_busy_attribution_is_bounded_by_worker_time() {
-    // Under barrier stepping the per-phase `Duration`s are exclusive wall
-    // windows, so their sum tracks step wall time. Under task-graph
-    // stepping phases overlap and the durations are per-phase *busy* time
-    // accumulated across workers — the meaningful invariant is
-    // Σ phase busy ≤ workers × step wall, which this pins down in both
-    // modes for both tree solvers.
-    let workers = stdpar_nbody::stdpar::backend::thread_count() as u128;
-    for stepping in [Stepping::Barrier, Stepping::TaskGraph] {
-        for kind in [SolverKind::Bvh, SolverKind::Octree] {
-            let state = galaxy_collision(2_000, 55);
-            let opts = SimOptions { dt: 1e-3, stepping, ..SimOptions::default() };
-            let mut sim = Simulation::new(state, kind, opts).unwrap();
-            sim.step(); // warm-up: first step seeds accelerations
-            for _ in 0..3 {
-                let t0 = std::time::Instant::now();
-                let t = sim.step();
-                let wall = t0.elapsed().as_nanos();
-                let busy = t.busy.total() as u128;
-                assert!(busy > 0, "{stepping:?}/{}: busy table empty", kind.name());
-                assert!(
-                    busy <= workers * wall,
-                    "{stepping:?}/{}: Σ phase busy {busy} ns exceeds {workers} workers × {wall} ns wall",
-                    kind.name()
-                );
-                // The busy attribution and the per-phase durations must
-                // agree phase-by-phase: busy is derived from the final
-                // per-phase figures in both stepping modes.
-                let dur_sum = (t.bbox + t.sort + t.build + t.multipole + t.force + t.update)
-                    .as_nanos() as u64;
-                assert_eq!(t.busy.total(), dur_sum, "{stepping:?}/{}", kind.name());
-            }
+fn phase_durations_fit_in_the_step_wall_time() {
+    // Phases run one after another with a barrier between them, so their
+    // exclusive wall windows must add up to no more than the whole step.
+    for kind in [SolverKind::Bvh, SolverKind::Octree] {
+        let state = galaxy_collision(2_000, 55);
+        let opts = SimOptions { dt: 1e-3, ..SimOptions::default() };
+        let mut sim = Simulation::new(state, kind, opts).unwrap();
+        sim.step(); // warm-up: first step seeds accelerations
+        for _ in 0..3 {
+            let t0 = std::time::Instant::now();
+            let t = sim.step();
+            let wall = t0.elapsed();
+            assert!(
+                t.total() <= wall,
+                "{}: Σ phase {:?} exceeds step wall {wall:?}",
+                kind.name(),
+                t.total()
+            );
         }
     }
 }
